@@ -116,6 +116,10 @@ void CentralizedLockfreeBFS::consume_level(int tid, level_t level) {
 
     ++st.ctr[kSegmentsClaimed];
     const std::uint64_t seg_t0 = st.trace.now();
+    // Aborting at a 0 loses nothing because `len` depends only on the
+    // front read (rear and p are level-stable): whoever cleared the
+    // slot claimed this same segment and finishes it
+    // (frontier_queues.hpp).
     for (std::int64_t i = front; i < front + len; ++i) {
       if (!process_slot(tid, k, i, level)) break;  // hit a 0: consumed
     }
@@ -186,6 +190,7 @@ bool DecentralizedLockfreeBFS::drain_one_segment(int tid, int pool_id,
   ThreadState& st = state(tid);
   ++st.ctr[kSegmentsClaimed];
   const std::uint64_t seg_t0 = st.trace.now();
+  // Safe abort: `len` is a function of the front read, as in BFS_CL.
   for (std::int64_t i = front; i < front + len; ++i) {
     if (!process_slot(tid, queue, i, level)) break;
   }

@@ -40,6 +40,18 @@ std::vector<int> make_pin_map(const Topology& topo, int p,
   return Topology::physical(p).cpu_map();
 }
 
+/// Phase-2 range word: [generation:32][rear:32]. A rear is at most an
+/// out-degree, which fits a vid_t.
+std::uint64_t pack_range(std::uint32_t gen, std::int64_t rear) {
+  return (std::uint64_t{gen} << 32) | static_cast<std::uint32_t>(rear);
+}
+std::uint32_t unpack_gen(std::uint64_t word) {
+  return static_cast<std::uint32_t>(word >> 32);
+}
+std::int64_t unpack_rear(std::uint64_t word) {
+  return static_cast<std::int64_t>(word & 0xffffffffu);
+}
+
 }  // namespace
 
 BFSEngineBase::BFSEngineBase(std::string name, const CsrGraph& graph,
@@ -800,40 +812,59 @@ void BFSEngineBase::explore_hotspots(int tid, level_t level) {
   // kStealing variant: hotspots are dealt round-robin; a thread that
   // finishes its share steals half of a victim's remaining adjacency
   // range. Edge ranges cannot use the 0-sentinel (the adjacency array
-  // is read-only), so owners re-read their (thief-writable) rear each
-  // step; races cost duplicate edge scans only.
-  ThreadState& st = state(tid);
+  // is read-only), so a thief truncates the victim's rear instead. A
+  // rear store computed against one range must never land on the next
+  // one the victim installs (its tail would go unscanned), so every
+  // installed range gets a fresh per-thread generation and the rear is
+  // published as one {generation, rear} word: the owner honours only
+  // truncations tagged with its current generation. Races therefore
+  // cost duplicate edge scans only, with no CAS or fetch-add.
   for (std::size_t i = static_cast<std::size_t>(tid);
        i < level_hotspots_.size(); i += static_cast<std::size_t>(p_)) {
     const vid_t h = level_hotspots_[i];
-    hotspot_vertex_[static_cast<std::size_t>(tid)]->store(
-        h, std::memory_order_relaxed);
-    st.seg_front.store(0, std::memory_order_relaxed);
-    st.seg_rear.store(graph_.out_degree(h), std::memory_order_relaxed);
-    st.has_work.store(true, std::memory_order_relaxed);
-    drain_adjacency_range(tid, level);
+    install_and_drain_range(tid, h, 0, graph_.out_degree(h), level);
   }
-  st.has_work.store(false, std::memory_order_relaxed);
-  while (steal_adjacency_range(tid)) {
-    drain_adjacency_range(tid, level);
-    state(tid).has_work.store(false, std::memory_order_relaxed);
+  while (steal_adjacency_range(tid, level)) {
   }
 }
 
-void BFSEngineBase::drain_adjacency_range(int tid, level_t level) {
+void BFSEngineBase::install_and_drain_range(int tid, vid_t h,
+                                            std::int64_t front,
+                                            std::int64_t rear,
+                                            level_t level) {
   ThreadState& st = state(tid);
-  const vid_t h = hotspot_vertex_[static_cast<std::size_t>(tid)]->load(
-      std::memory_order_relaxed);
-  std::int64_t i = st.seg_front.load(std::memory_order_relaxed);
-  while (i < st.seg_rear.load(std::memory_order_relaxed)) {
+  const std::uint32_t gen = ++st.range_gen;
+  hotspot_vertex_[static_cast<std::size_t>(tid)]->store(
+      h, std::memory_order_relaxed);
+  st.seg_front.store(front, std::memory_order_relaxed);
+  // Release: a thief that acquires this word also sees h and front.
+  st.range_rear.store(pack_range(gen, rear), std::memory_order_release);
+  st.has_work.store(true, std::memory_order_relaxed);
+  // Private minimum of the honoured rears. Every value tagged `gen` is
+  // the rear this thread published or a thief's midpoint of one it
+  // read, and each thief scans [mid, the rear it read); so stopping at
+  // the minimum leaves nothing of [front, rear) unscanned.
+  std::int64_t limit = rear;
+  for (std::int64_t i = front;;) {
+    const std::uint64_t word =
+        st.range_rear.load(std::memory_order_relaxed);
+    if (unpack_gen(word) == gen) {
+      limit = std::min(limit, unpack_rear(word));
+    } else {
+      // A late truncation of an earlier range overwrote the word:
+      // ignore it and republish, so this range stays stealable.
+      st.range_rear.store(pack_range(gen, limit), std::memory_order_release);
+    }
+    if (i >= limit) break;
     visit_neighbor_range(tid, h, level + 1, static_cast<std::size_t>(i),
                          static_cast<std::size_t>(i) + 1);
     ++i;
     st.seg_front.store(i, std::memory_order_relaxed);
   }
+  st.has_work.store(false, std::memory_order_relaxed);
 }
 
-bool BFSEngineBase::steal_adjacency_range(int tid) {
+bool BFSEngineBase::steal_adjacency_range(int tid, level_t level) {
   ThreadState& st = state(tid);
   const int budget = max_steal_attempts(p_);
   for (int attempt = 0; attempt < budget; ++attempt) {
@@ -847,10 +878,16 @@ bool BFSEngineBase::steal_adjacency_range(int tid) {
       ++st.ctr[kStealFailVictimIdle];
       continue;
     }
+    // The rear word first (acquire), then the hotspot and front it was
+    // published after. Those two may already belong to a newer range;
+    // the stale generation then makes the owner ignore the truncation,
+    // and the thief's scan is a duplicate.
+    const std::uint64_t word =
+        vs.range_rear.load(std::memory_order_acquire);
     const vid_t hv = hotspot_vertex_[static_cast<std::size_t>(victim)]->load(
         std::memory_order_relaxed);
     const std::int64_t f = vs.seg_front.load(std::memory_order_relaxed);
-    const std::int64_t r = vs.seg_rear.load(std::memory_order_relaxed);
+    const std::int64_t r = unpack_rear(word);
     if (hv >= graph_.num_vertices() ||
         r > static_cast<std::int64_t>(graph_.out_degree(hv)) || f < 0) {
       ++st.ctr[kStealFailInvalidSegment];
@@ -865,13 +902,10 @@ bool BFSEngineBase::steal_adjacency_range(int tid) {
       continue;
     }
     const std::int64_t mid = f + (r - f) / 2;
-    vs.seg_rear.store(mid, std::memory_order_relaxed);
-    hotspot_vertex_[static_cast<std::size_t>(tid)]->store(
-        hv, std::memory_order_relaxed);
-    st.seg_front.store(mid, std::memory_order_relaxed);
-    st.seg_rear.store(r, std::memory_order_relaxed);
-    st.has_work.store(true, std::memory_order_relaxed);
+    vs.range_rear.store(pack_range(unpack_gen(word), mid),
+                        std::memory_order_relaxed);
     ++st.ctr[kStealSuccess];
+    install_and_drain_range(tid, hv, mid, r, level);
     return true;
   }
   return false;

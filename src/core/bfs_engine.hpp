@@ -90,13 +90,18 @@ class BFSEngineBase : public ParallelBFS {
 
   /// Per-worker mutable state. One cache-aligned instance per thread;
   /// the atomic members form the work-stealing control block that other
-  /// threads read (and, for `seg_rear`, write) optimistically.
+  /// threads read (and, for `seg_rear` and `range_rear`, write)
+  /// optimistically.
   struct ThreadState {
-    // ---- steal block: shared, relaxed-only access ----
+    // ---- steal block: shared, plain loads/stores only (no RMW) ----
     std::atomic<std::int32_t> seg_queue{0};   ///< queue id q
     std::atomic<std::int64_t> seg_front{0};   ///< front pointer f
     std::atomic<std::int64_t> seg_rear{0};    ///< rear pointer r
     std::atomic<bool> has_work{false};        ///< false once out of work
+    /// Phase-2 (kStealing) adjacency-range rear, tagged with the range's
+    /// generation: pack_range(gen, rear). One word, so a thief's
+    /// truncation names the range it was computed against.
+    std::atomic<std::uint64_t> range_rear{0};
     SpinLock lock;                            ///< lock-based variants only
 
     // ---- private to the owning thread ----
@@ -110,6 +115,7 @@ class BFSEngineBase : public ParallelBFS {
     std::uint64_t visited_in_slice = 0;   ///< result-assembly partial
     level_t max_level_in_slice = 0;
     std::vector<vid_t> hotspots;          ///< scale-free phase-1 deferrals
+    std::uint32_t range_gen = 0;  ///< generation of the installed range
     Xoshiro256 rng{0};
   };
 
@@ -204,14 +210,15 @@ class BFSEngineBase : public ParallelBFS {
   /// frontier vertices) runs bottom-up. No-op unless kHybrid.
   void prepare_direction(std::int64_t next_size);
 
+  /// Phase-2 stealing mode: publishes edges [front, rear) of hotspot h
+  /// as tid's range under a fresh generation, then drains it.
+  void install_and_drain_range(int tid, vid_t h, std::int64_t front,
+                               std::int64_t rear, level_t level);
+
   /// Phase-2 stealing mode: steals half of a victim's remaining
   /// adjacency range into the thief's own block. Returns false after
   /// MAX_STEAL consecutive failures.
-  bool steal_adjacency_range(int tid);
-
-  /// Phase-2 stealing mode: drains the edge range currently in tid's
-  /// block (shared with concurrent thieves).
-  void drain_adjacency_range(int tid, level_t level);
+  bool steal_adjacency_range(int tid, level_t level);
 
   const std::string name_;
   vid_t degree_threshold_ = 0;  ///< 0 = plain variant (set by scale-free)

@@ -98,8 +98,9 @@ struct BFSOptions {
 
   /// §IV-D alternative: claim discoveries through an atomic visited
   /// bitmap (fetch_or), exactly Baseline2's mechanism. Eliminates
-  /// duplicate queue entries entirely but reintroduces the atomic RMW
-  /// the lock-free engines exist to avoid — provided so the trade the
+  /// duplicate queue entries (not duplicate explorations: the lock-free
+  /// engines can still pop one entry twice) but reintroduces the atomic
+  /// RMW the lock-free engines exist to avoid — provided so the trade the
   /// paper describes for dense graphs can be measured on OUR engines.
   bool visited_bitmap_dedup = false;
 

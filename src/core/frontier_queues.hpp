@@ -4,9 +4,16 @@
 // A slot holds v+1 for vertex v; the value 0 means "empty": either the
 // slot was never written this level (the sentinel region past the rear)
 // or a reader already consumed it (the clearing trick). Overloading one
-// value for both cases is what makes the paper's argument work: a thread
-// that hits a 0 can stop unconditionally, because a 0 can only mean
-// "past the end" or "someone else is/was here" — never a gap.
+// value for both cases is what makes the paper's argument work: a 0 can
+// only mean "past the end" or "someone else is/was here", so a thread
+// that hits one may stop — never leaving a gap — *provided the segment
+// end is a deterministic function of the front read*. Every stored
+// front is then E^k(0) for the claim rule E, any two claimed segments
+// are identical or disjoint, and the co-claimant that cleared the slot
+// walks on to the same end. BFS_CL/BFS_EBL/BFS_DL size segments from
+// the front, the level-stable rear and p only; a claim rule with a
+// fresh random length per claim would lose the slots between two
+// co-claimants' ends.
 //
 // Concurrency contract:
 //  * out-side: queue i is written only by thread i (private), with

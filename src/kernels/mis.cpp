@@ -135,8 +135,9 @@ void MisKernel::run(KernelResult& out) {
             beaten(sub_.out_nbrs(v));
             if (!lost) beaten(sub_.in_nbrs(v));
             if (lost) {
+              // A plain-store demotion: counted in kernel_repair_fixes,
+              // not kernel_conflict_demotes (which counts only the CAS).
               rlx_store(status_[v], kUndecided);
-              ++c[telemetry::kKernelConflictDemotes];
               sub_.activate(tid, v);
               ++fixes;
             }

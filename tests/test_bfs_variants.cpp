@@ -2,7 +2,10 @@
 // stay exactly correct (levels identical to serial) under all settings.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string_view>
 #include <tuple>
+#include <vector>
 
 #include "core/registry.hpp"
 #include "harness/source_sampler.hpp"
@@ -106,16 +109,34 @@ TEST(VisitedBitmap, CorrectAndEliminatesDuplicates) {
     BFSOptions options;
     options.num_threads = 8;
     options.visited_bitmap_dedup = true;
+    options.record_level_sizes = true;
     auto engine = make_bfs(algorithm, graph, options);
     for (const vid_t source : sample_sources(graph, 2, 7)) {
       BFSResult result;
       engine->run(source, result);
       const auto report = verify_against_serial(graph, source, result);
       ASSERT_TRUE(report.ok) << algorithm << ": " << report.error;
-      // The fetch_or claim admits each vertex into exactly one queue,
-      // so within-queue pops can't duplicate it either (each queue
-      // holds it at most once, and clearing dedups re-pops).
-      EXPECT_EQ(result.duplicate_explorations(), 0u) << algorithm;
+      // The fetch_or claim admits each vertex into exactly one queue
+      // (and the seed adds the source once), so every level's queue
+      // entries are exactly that level's vertices: no duplicate
+      // *entries*. Duplicate *explorations* remain possible for the
+      // lock-free engines — the read-then-clear race on a slot and the
+      // WL owner walking into a thief's range both pop one entry twice
+      // (FrontierQueues::consume_in, §IV-B2).
+      std::vector<std::uint64_t> per_level;
+      for (const level_t l : result.level) {
+        if (l == kUnvisited) continue;
+        if (static_cast<std::size_t>(l) >= per_level.size()) {
+          per_level.resize(static_cast<std::size_t>(l) + 1, 0);
+        }
+        ++per_level[static_cast<std::size_t>(l)];
+      }
+      EXPECT_EQ(result.level_sizes, per_level) << algorithm;
+      // BFS_C's segments are disjoint under the global lock, so with
+      // single entries nothing is popped twice.
+      if (std::string_view(algorithm) == "BFS_C") {
+        EXPECT_EQ(result.duplicate_explorations(), 0u) << algorithm;
+      }
     }
   }
 }

@@ -21,6 +21,16 @@ namespace {
 // every pushed element is consumed by AT LEAST one thread — duplicates
 // allowed, losses forbidden. Exercised directly on FrontierQueues with
 // real std::threads hammering a prepared level.
+//
+// Like BFS_CL/BFS_EBL/BFS_DL, the worker's segment end is a
+// deterministic function of the front it read (here a hash of
+// (round, queue, front), spread over 1..64). That is the condition
+// under which aborting at a zero is safe: every stored front is then
+// E^k(0), so two claimed segments are identical or disjoint, and the
+// co-claimant that cleared the slot walks on to the same end. A fresh
+// random length per claim breaks it (T claims [0,64), W claims [0,10)
+// and clears slot 5, T aborts there, T's front store of 64 lands last:
+// slots 10..63 are never claimed), and no engine claims that way.
 TEST(OptimisticCoverage, EverySlotConsumedAtLeastOnce) {
   constexpr int kQueues = 4;
   constexpr vid_t kPerQueue = 2000;
@@ -43,8 +53,7 @@ TEST(OptimisticCoverage, EverySlotConsumedAtLeastOnce) {
     std::vector<std::atomic<std::uint8_t>> consumed(next_value);
     std::atomic<std::int32_t> global_queue{0};
 
-    auto worker = [&](int tid) {
-      Xoshiro256 rng(static_cast<std::uint64_t>(round * 100 + tid));
+    auto worker = [&]() {
       for (;;) {
         int k = global_queue.load(std::memory_order_relaxed);
         if (k < 0) k = 0;
@@ -56,10 +65,13 @@ TEST(OptimisticCoverage, EverySlotConsumedAtLeastOnce) {
           ++k;
         }
         if (k >= kQueues) return;
-        const std::int64_t len =
-            std::min<std::int64_t>(1 + static_cast<std::int64_t>(
-                                           rng.next_below(64)),
-                                   rear - front);
+        const std::uint64_t draw =
+            SplitMix64((static_cast<std::uint64_t>(round) << 40) ^
+                       (static_cast<std::uint64_t>(k) << 32) ^
+                       static_cast<std::uint64_t>(front))
+                .next();
+        const std::int64_t len = std::min<std::int64_t>(
+            1 + static_cast<std::int64_t>(draw % 64), rear - front);
         global_queue.store(k, std::memory_order_relaxed);
         queues.in_front(k).store(front + len, std::memory_order_relaxed);
         for (std::int64_t i = front; i < front + len; ++i) {
@@ -70,7 +82,7 @@ TEST(OptimisticCoverage, EverySlotConsumedAtLeastOnce) {
       }
     };
     std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) threads.emplace_back(worker, t);
+    for (int t = 0; t < kThreads; ++t) threads.emplace_back(worker);
     for (auto& t : threads) t.join();
 
     for (vid_t v = 0; v < next_value; ++v) {

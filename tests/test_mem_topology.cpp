@@ -21,6 +21,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/bfs_serial.hpp"
 #include "core/msbfs.hpp"
 #include "core/registry.hpp"
@@ -60,8 +62,10 @@ TEST(MemTopologyParse, CpuListDegradesOnMalformedChunks) {
 }
 
 TEST(MemTopologyParse, NodeTreeFromFakeSysfs) {
-  const fs::path root =
-      fs::temp_directory_path() / "optibfs_fake_sysfs_nodes";
+  // Per-process: this file is also built into sanitize_tests.
+  const fs::path root = fs::temp_directory_path() /
+                        ("optibfs_fake_sysfs_nodes_" +
+                         std::to_string(::getpid()));
   fs::remove_all(root);
   fs::create_directories(root / "node0");
   fs::create_directories(root / "node1");

@@ -20,6 +20,8 @@
 #include <type_traits>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/bfs_serial.hpp"
 #include "core/registry.hpp"
 #include "dynamic/dynamic_graph.hpp"
@@ -52,8 +54,13 @@ static_assert(
                    eid_t>,
     "out_offset must return the raw offset value");
 
+// Per-process names: this file is built into several test binaries, and
+// under `ctest -j` two of them must never rewrite a file the other has
+// mmapped.
 std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  return (std::filesystem::temp_directory_path() /
+          (std::to_string(::getpid()) + "_" + name))
+      .string();
 }
 
 CsrGraph test_graph(std::uint64_t seed = 7) {
